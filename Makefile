@@ -116,19 +116,23 @@ bench-smoke:
 # synchronous exchange+sweep loop and with the one-sided overlapped loop
 # (interior while the halo puts fly, no per-step barriers).  Each variant
 # first validates bit-identity against the serial reference (maxerr must
-# be exactly 0); results land in BENCH_PR6.json for diffing.
+# be exactly 0).  `check` runs it for those assertions, so the results
+# land under .bench_build/; the committed BENCH_PR6.json is frozen
+# history.
 bench-overlap:
+	mkdir -p .bench_build
 	$(GO) test -run '^$$' -bench 'BenchmarkSmoothingOverlap' -benchtime 30x . \
-	| $(GO) run ./cmd/benchjson -o BENCH_PR6.json
+	| $(GO) run ./cmd/benchjson -o .bench_build/BENCH_PR6.json
 
 # Redistribution under a memory budget: the E4 DISTRIBUTE pairs plus
 # the budgeted variant (unbounded vs array/8 budget).  The benchmark
-# itself asserts measured peak wire bytes <= budget; results land in
-# BENCH_PR7.json for diffing against the BENCH_PR2.json redistribute
-# baselines.
+# itself asserts measured peak wire bytes <= budget.  `check` runs it for
+# that assertion, so the results land under .bench_build/; the committed
+# BENCH_PR7.json is frozen history.
 bench-redist:
+	mkdir -p .bench_build
 	$(GO) test -run '^$$' -bench 'BenchmarkRedistribute$$|BenchmarkRedistributeBudget' -benchtime 200x . \
-	| $(GO) run ./cmd/benchjson -o BENCH_PR7.json
+	| $(GO) run ./cmd/benchjson -o .bench_build/BENCH_PR7.json
 
 # Elastic scale-out: the mid-run join + expand-replay path timed next
 # to the same problem run statically at the grown size (the benchmark

@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"strconv"
@@ -274,69 +275,50 @@ func (sr *stripeReader) fill(l *darray.Local, myGrid index.Grid, am ArrayMeta, a
 			l.UnpackWire(myGrid, payload)
 			continue
 		}
-		l.UnpackWire(inter, extract(payload, sg, inter))
+		l.UnpackWire(inter, pario.Extract(payload, sg, inter))
 	}
 	return nil
 }
 
+// ErrBadStripe marks a stripe file whose content does not parse against
+// its manifest: a short or mismatched header, a truncated payload, or
+// bytes past the last payload.
+var ErrBadStripe = errors.New("ckpt: malformed stripe file")
+
 // stripePayloads parses one stripe file's body into per-array payloads
-// in manifest order, validating the header against the manifest.
+// in manifest order, validating the header against the manifest.  Every
+// failure wraps ErrBadStripe.
 func stripePayloads(data []byte, man *Manifest, epochDir string, s int) ([][]byte, error) {
-	name := stripeFileName(s)
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("%w: %s/%s: %s", ErrBadStripe, epochDir, stripeFileName(s), fmt.Sprintf(format, args...))
+	}
 	if len(data) < 20 {
-		return nil, fmt.Errorf("ckpt: %s/%s: truncated header", epochDir, name)
+		return nil, bad("truncated header")
 	}
 	u32 := func(off int) int { return int(getU32(data, off)) }
 	if u32(0) != stripeMagic || u32(4) != Version || u32(8) != man.Epoch || u32(12) != s {
-		return nil, fmt.Errorf("ckpt: %s/%s: header mismatch", epochDir, name)
+		return nil, bad("header mismatch")
 	}
 	narr := u32(16)
 	if narr != len(man.Arrays) {
-		return nil, fmt.Errorf("ckpt: %s/%s: %d arrays recorded, manifest has %d", epochDir, name, narr, len(man.Arrays))
+		return nil, bad("%d arrays recorded, manifest has %d", narr, len(man.Arrays))
 	}
 	payloads := make([][]byte, narr)
 	off := 20
 	for i := 0; i < narr; i++ {
 		if off+4 > len(data) {
-			return nil, fmt.Errorf("ckpt: %s/%s: truncated payload table", epochDir, name)
+			return nil, bad("truncated payload table")
 		}
 		n := u32(off)
 		off += 4
-		if off+8*n > len(data) {
-			return nil, fmt.Errorf("ckpt: %s/%s: truncated payload %d", epochDir, name, i)
+		if n > (len(data)-off)/8 {
+			return nil, bad("truncated payload %d", i)
 		}
 		payloads[i] = data[off : off+8*n]
 		off += 8 * n
 	}
-	return payloads, nil
-}
-
-// extract pulls the values at want's points (canonical order) out of a
-// payload recorded in from's canonical enumeration order.  want must be a
-// subset of from.
-func extract(payload []byte, from, want index.Grid) []byte {
-	// Column-major position strides over from's per-dimension counts,
-	// dimension 0 innermost — the canonical enumeration of ForEachRun.
-	strd := make([]int, from.Rank())
-	mul := 1
-	for k := range strd {
-		strd[k] = mul
-		mul *= from.Dims[k].Count()
+	if off != len(data) {
+		return nil, bad("%d bytes past the last payload", len(data)-off)
 	}
-	var out []byte
-	out, _ = msg.GrowFloat64s(out, want.Count())
-	off := 0
-	want.ForEachRun(func(p index.Point, r index.Run) bool {
-		row := 0
-		for k := 1; k < len(p); k++ {
-			row += from.Dims[k].IndexOf(p[k]) * strd[k]
-		}
-		for i := r.Lo; i <= r.Hi; i += r.Stride {
-			idx := row + from.Dims[0].IndexOf(i)
-			msg.PutFloat64(out, off, msg.GetFloat64(payload, 8*idx))
-			off += 8
-		}
-		return true
-	})
-	return out
+	return payloads, nil
 }

@@ -98,18 +98,27 @@ func SaveOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, meta map[str
 		stripes[i] = pario.StripeGrids(a.Domain(), ns)
 	}
 	send := make([][]byte, np)
+	inters := make([]index.Grid, len(arrays))
 	for s := 0; s < ns; s++ {
-		var buf []byte
+		count := 0
 		for i, a := range arrays {
+			inters[i] = index.Grid{}
 			if !a.Dist().IsPrimaryRank(rank) {
 				continue // replicated copies are identical; the primary ships
 			}
-			l := a.Local(ctx)
-			inter := l.Grid().Intersect(stripes[i][s])
-			if inter.Empty() {
-				continue
+			inters[i] = a.Local(ctx).Grid().Intersect(stripes[i][s])
+			count += inters[i].Count()
+		}
+		if count == 0 {
+			continue
+		}
+		// Sized once from the intersections: every pack below appends
+		// within capacity.
+		buf := make([]byte, 0, 8*count)
+		for i, a := range arrays {
+			if !inters[i].Empty() {
+				buf = a.Local(ctx).AppendPacked(buf, inters[i])
 			}
-			buf = l.AppendPacked(buf, inter)
 		}
 		send[s] = buf
 	}
@@ -138,7 +147,10 @@ func SaveOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, meta map[str
 
 	// Parity: a pipelined XOR chain across the server ranks (raw tag
 	// 9101), zero-padded to the largest stripe; the last server writes
-	// the folded result.
+	// the folded result.  stripeBuf belongs to the I/O server until
+	// Close, so the chain never writes into it: the first server copies
+	// it into a fresh accumulator, and every later server folds its
+	// stripe into the accumulator it received (which it owns).
 	var parityCRC uint32
 	var paritySize int
 	if opts.Redundancy == pario.RedundancyParity && rank < ns {
@@ -148,15 +160,21 @@ func SaveOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, meta map[str
 				maxSize = sz
 			}
 		}
-		acc := make([]byte, maxSize)
-		copy(acc, stripeBuf)
+		var acc []byte
 		ep, ccfg := ctx.Endpoint(), ctx.Comm().Config()
-		if rank > 0 {
+		if rank == 0 {
+			acc = make([]byte, maxSize)
+			copy(acc, stripeBuf)
+		} else {
 			p, err := msg.RecvRetry(ep, ccfg, tr, "ckpt-parity", rank-1, parityTag)
 			if err != nil {
 				return -1, fmt.Errorf("ckpt: parity chain: %w", err)
 			}
-			pario.XorInto(acc, p.Data)
+			if len(p.Data) != maxSize {
+				return -1, fmt.Errorf("ckpt: parity chain: %d bytes from rank %d, want %d", len(p.Data), rank-1, maxSize)
+			}
+			acc = p.Data
+			pario.XorInto(acc, stripeBuf)
 		}
 		if rank < ns-1 {
 			if err := msg.SendRetry(ep, ccfg, tr, "ckpt-parity", rank+1, parityTag, acc); err != nil {
@@ -298,7 +316,7 @@ func assembleStripe(ctx *machine.Ctx, arrays []*darray.Array, stripes [][]index.
 	for i := range arrays {
 		buf = appendU32(buf, uint32(stripes[i][s].Count()))
 		offs[i] = len(buf)
-		buf = append(buf, make([]byte, 8*stripes[i][s].Count())...)
+		buf = buf[:len(buf)+8*stripes[i][s].Count()] // within capacity: zeroed
 	}
 	for r := 0; r < ctx.NP(); r++ {
 		data := recv[r]

@@ -99,7 +99,7 @@ func (vr *v1Reader) fill(l *darray.Local, myGrid index.Grid, oldD *dist.Distribu
 			l.UnpackWire(myGrid, payload)
 			continue
 		}
-		l.UnpackWire(inter, extract(payload, oldGrid, inter))
+		l.UnpackWire(inter, pario.Extract(payload, oldGrid, inter))
 	}
 	return nil
 }

@@ -15,7 +15,9 @@ import (
 // of the outer dimensions is computed once per innermost span, the span
 // itself advances by a constant storage step, and values are encoded into
 // (or decoded from) the wire-format []byte directly — no intermediate
-// []float64 and, with recycled buffers, no per-iteration allocation.
+// []float64 and, with recycled buffers, no per-iteration allocation.  A
+// span whose storage step is 1 moves as one block (msg.PutFloat64s /
+// GetFloat64s); strided spans move element by element.
 
 // dimSpan returns affine storage addressing for run r along dimension k:
 // the local index of r.Lo and the local-index step between consecutive
@@ -72,6 +74,12 @@ func (l *Local) appendPacked(buf []byte, g index.Grid) []byte {
 		if li0, step, ok := l.dimSpan(0, r); ok {
 			so := row + li0*l.strd[0]
 			st := step * l.strd[0]
+			if st == 1 {
+				n := r.Count()
+				msg.PutFloat64s(buf, off, data[so:so+n])
+				off += 8 * n
+				return true
+			}
 			for n := r.Count(); n > 0; n-- {
 				msg.PutFloat64(buf, off, data[so])
 				off += 8
@@ -102,6 +110,12 @@ func (l *Local) unpackWire(g index.Grid, buf []byte) {
 		if li0, step, ok := l.dimSpan(0, r); ok {
 			do := row + li0*l.strd[0]
 			st := step * l.strd[0]
+			if st == 1 {
+				n := r.Count()
+				msg.GetFloat64s(data[do:do+n], buf, off)
+				off += 8 * n
+				return true
+			}
 			for n := r.Count(); n > 0; n-- {
 				data[do] = msg.GetFloat64(buf, off)
 				off += 8

@@ -14,8 +14,9 @@ import (
 // packCases are distribution pairs whose per-dimension intersections
 // exercise every addressing shape the span pack paths must handle:
 // contiguous blocks, stride-P cyclic runs, multi-run cyclic(k) sets
-// (non-simple local dimensions), shifted irregular blocks, and 2-D
-// transposes.
+// (non-simple local dimensions), shifted irregular blocks, 2-D
+// transposes, and 3-D grids whose dimension-0 spans move as one block
+// or, when dimension 0 is cyclic, element by element.
 var packCases = []struct {
 	name     string
 	dom      index.Domain
@@ -28,11 +29,32 @@ var packCases = []struct {
 	{"bblockShift", index.Dim(64), []dist.DimSpec{dist.BBlockDim(10, 20, 30, 64)}, []dist.DimSpec{dist.BBlockDim(25, 40, 50, 64)}},
 	{"colsToRows", index.Dim(12, 16), []dist.DimSpec{dist.ElidedDim(), dist.BlockDim()}, []dist.DimSpec{dist.BlockDim(), dist.ElidedDim()}},
 	{"block2dToCyclicCols", index.Dim(12, 16), []dist.DimSpec{dist.BlockDim(), dist.ElidedDim()}, []dist.DimSpec{dist.CyclicDim(2), dist.ElidedDim()}},
+	{"3dMidBlockToLastCyclic", index.Dim(5, 6, 7), []dist.DimSpec{dist.ElidedDim(), dist.BlockDim(), dist.ElidedDim()}, []dist.DimSpec{dist.ElidedDim(), dist.ElidedDim(), dist.CyclicDim(2)}},
+	{"3dFirstCyclicToBlock", index.Dim(9, 3, 4), []dist.DimSpec{dist.CyclicDim(1), dist.ElidedDim(), dist.ElidedDim()}, []dist.DimSpec{dist.BlockDim(), dist.ElidedDim(), dist.ElidedDim()}},
+	{"3dUnevenLastBlock", index.Dim(3, 2, 9), []dist.DimSpec{dist.ElidedDim(), dist.ElidedDim(), dist.BlockDim()}, []dist.DimSpec{dist.ElidedDim(), dist.CyclicDim(1), dist.ElidedDim()}},
+}
+
+// elementEncode and elementDecode are the one-value-at-a-time wire
+// codec the block pack paths must reproduce byte for byte.
+func elementEncode(vals []float64) []byte {
+	buf := make([]byte, 8*len(vals))
+	for i, v := range vals {
+		msg.PutFloat64(buf, 8*i, v)
+	}
+	return buf
+}
+
+func elementDecode(buf []byte) []float64 {
+	vals := make([]float64, msg.Float64Count(buf))
+	for i := range vals {
+		vals[i] = msg.GetFloat64(buf, 8*i)
+	}
+	return vals
 }
 
 // TestPackUnpackMatchesPerPointReference holds the span-based wire path
 // (appendPacked -> unpackWire) to exact equivalence with the per-point
-// reference path (packGrid -> EncodeFloat64s -> DecodeFloat64s ->
+// reference path (packGrid -> per-element PutFloat64 -> GetFloat64 ->
 // unpackGrid) on every transfer grid of each distribution pair,
 // including the strided and non-contiguous local sets cyclic(k)
 // produces.
@@ -70,11 +92,11 @@ func TestPackUnpackMatchesPerPointReference(t *testing.T) {
 					sl := src.locals[peer] // shared handle: read-only after the barrier
 					wire := sl.appendPacked(nil, g)
 					vals := packGrid(sl, g)
-					if want := msg.EncodeFloat64s(vals); !bytes.Equal(wire, want) {
+					if want := elementEncode(vals); !bytes.Equal(wire, want) {
 						t.Errorf("%s: rank %d <- %d: appendPacked differs from per-point encoding on %v", tc.name, rank, peer, g)
 					}
 					got.unpackWire(g, wire)
-					unpackGrid(ref, g, msg.DecodeFloat64s(wire))
+					unpackGrid(ref, g, elementDecode(wire))
 				}
 				if covered != got.Count() {
 					t.Errorf("%s: rank %d: transfer grids cover %d of %d owned points", tc.name, rank, covered, got.Count())

@@ -75,6 +75,20 @@ func newDetector(np int, window time.Duration) *detector {
 	return d
 }
 
+// restamp marks every rank not yet declared dead as seen now.  Run calls
+// it as the heartbeats start: silence before that (work between New and
+// Run, or between two Runs) is not a peer's fault.
+func (d *detector) restamp() {
+	now := time.Now()
+	d.mu.Lock()
+	for r := range d.lastSeen {
+		if !d.dead[r] {
+			d.lastSeen[r] = now
+		}
+	}
+	d.mu.Unlock()
+}
+
 func (d *detector) beat(rank int) {
 	d.mu.Lock()
 	d.lastSeen[rank] = time.Now()
@@ -156,6 +170,7 @@ type livenessRuntime struct {
 
 func (m *Machine) startLiveness() *livenessRuntime {
 	lc := *m.liveness
+	m.det.restamp()
 	lv := &livenessRuntime{stopCh: make(chan struct{})}
 	for r := 0; r < m.np; r++ {
 		ep := m.transport.Endpoint(r)

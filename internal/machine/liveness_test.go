@@ -33,6 +33,27 @@ func TestLivenessAllAlive(t *testing.T) {
 	}
 }
 
+// TestLivenessIdleBeforeRun: work between New and Run (a serial
+// reference, say) that outlasts the silence window must not get live
+// ranks declared dead — the window starts when Run starts the
+// heartbeats.
+func TestLivenessIdleBeforeRun(t *testing.T) {
+	lc, cc := hbCfg()
+	m := New(4, WithLiveness(lc), WithCommConfig(cc))
+	defer m.Close()
+	time.Sleep(2 * lc.Window)
+	err := m.Run(func(ctx *Ctx) error {
+		time.Sleep(lc.Window)
+		return ctx.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := m.Survivors(); len(s) != 4 {
+		t.Fatalf("survivors = %v, want all 4", s)
+	}
+}
+
 // TestLivenessDetectsSilentRank: a rank whose every outbound message is
 // dropped (the permanent-kill fault) must be declared dead by the
 // detector, the blocked collective must abort via the retry budget, and

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // Wire encodings for the element and header types the runtime exchanges.
@@ -34,10 +35,43 @@ func EncodeFloat64s(vals []float64) []byte {
 func AppendFloat64s(buf []byte, vals []float64) []byte {
 	var off int
 	buf, off = GrowFloat64s(buf, len(vals))
+	PutFloat64s(buf, off, vals)
+	return buf
+}
+
+// hostLittleEndian reports whether the host stores a float64 in the wire
+// byte order, so that a []float64 already is its own wire encoding.  A
+// variable, not a constant, so tests can run the element loop too.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// float64Bytes views vals as its raw in-memory bytes (no copy).
+func float64Bytes(vals []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), 8*len(vals))
+}
+
+// PutFloat64s stores the wire encoding of vals at byte offset off of buf
+// — one block copy on little-endian hosts, where memory already holds
+// the wire bytes, and an element loop elsewhere.
+func PutFloat64s(buf []byte, off int, vals []float64) {
+	if hostLittleEndian {
+		copy(buf[off:off+8*len(vals)], float64Bytes(vals))
+		return
+	}
 	for i, v := range vals {
 		binary.LittleEndian.PutUint64(buf[off+8*i:], math.Float64bits(v))
 	}
-	return buf
+}
+
+// GetFloat64s fills dst from the wire values at byte offset off of buf —
+// the decoding counterpart of PutFloat64s.
+func GetFloat64s(dst []float64, buf []byte, off int) {
+	if hostLittleEndian {
+		copy(float64Bytes(dst), buf[off:off+8*len(dst)])
+		return
+	}
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off+8*i:]))
+	}
 }
 
 // GrowFloat64s extends buf with room for n float64 wire slots (contents
@@ -82,9 +116,7 @@ func DecodeFloat64s(buf []byte) []float64 {
 		panic(fmt.Sprintf("msg: float64 payload length %d not a multiple of 8", len(buf)))
 	}
 	out := make([]float64, len(buf)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
+	GetFloat64s(out, buf, 0)
 	return out
 }
 
@@ -94,9 +126,7 @@ func DecodeFloat64sInto(dst []float64, buf []byte) {
 	if len(buf) != 8*len(dst) {
 		panic(fmt.Sprintf("msg: payload %d bytes, want %d", len(buf), 8*len(dst)))
 	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
+	GetFloat64s(dst, buf, 0)
 }
 
 // EncodeInt64s encodes a []int64 payload.

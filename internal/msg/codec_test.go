@@ -143,3 +143,38 @@ func BenchmarkCodecDecodeInto(b *testing.B) {
 		DecodeFloat64sInto(dst, buf)
 	}
 }
+
+// TestBlockFloat64sMatchElementCodec holds the block helpers to the
+// per-element PutFloat64/GetFloat64 encoding, on the block path this
+// host takes and on the element loop big-endian hosts take, at every
+// offset alignment (the block copy must not assume 8-byte alignment).
+func TestBlockFloat64sMatchElementCodec(t *testing.T) {
+	native := hostLittleEndian
+	defer func() { hostLittleEndian = native }()
+	for _, little := range []bool{true, false} {
+		if little && !native {
+			continue // a block copy on a big-endian host is not the wire order
+		}
+		hostLittleEndian = little
+		for off := 0; off < 9; off++ {
+			want := make([]byte, off+8*len(codecVals))
+			for i, v := range codecVals {
+				PutFloat64(want, off+8*i, v)
+			}
+			got := make([]byte, len(want))
+			PutFloat64s(got, off, codecVals)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("little=%v off=%d: PutFloat64s differs from PutFloat64", little, off)
+			}
+			back := make([]float64, len(codecVals))
+			GetFloat64s(back, got, off)
+			for i, v := range codecVals {
+				if math.Float64bits(back[i]) != math.Float64bits(v) {
+					t.Fatalf("little=%v off=%d: slot %d = %v, want %v", little, off, i, back[i], v)
+				}
+			}
+		}
+		PutFloat64s(nil, 0, nil) // empty runs are legal
+		GetFloat64s(nil, nil, 0)
+	}
+}

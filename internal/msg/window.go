@@ -183,6 +183,11 @@ func PackRect(buf []byte, src []float64, r Rect) []byte {
 	var off int
 	buf, off = GrowFloat64s(buf, r.Count())
 	r.forEachRun(func(ro, stride, count int) {
+		if stride == 1 {
+			PutFloat64s(buf, off, src[ro:ro+count])
+			off += 8 * count
+			return
+		}
 		for i := 0; i < count; i++ {
 			PutFloat64(buf, off, src[ro+i*stride])
 			off += 8
@@ -201,6 +206,11 @@ func ApplyRect(dst []float64, r Rect, payload []byte) error {
 	}
 	off := 0
 	r.forEachRun(func(ro, stride, count int) {
+		if stride == 1 {
+			GetFloat64s(dst[ro:ro+count], payload, off)
+			off += 8 * count
+			return
+		}
 		for i := 0; i < count; i++ {
 			dst[ro+i*stride] = GetFloat64(payload, off)
 			off += 8

@@ -1,6 +1,7 @@
 package pario
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"path/filepath"
@@ -66,8 +67,32 @@ func StripeGrids(dom index.Domain, ns int) []index.Grid {
 // Place scatters payload — the values of grid g in g's canonical
 // enumeration order, 8 bytes each — into dst at the canonical positions
 // of g's points within the enclosing grid into (g must be a subset of
-// into).  It is the write-side inverse of the restore path's extract.
+// into).  It is the write-side inverse of Extract.
 func Place(dst []byte, payload []byte, g, into index.Grid) {
+	walkSpans(g, into, func(pos, off, n int) {
+		copy(dst[8*pos:8*(pos+n)], payload[8*off:8*(off+n)])
+	})
+}
+
+// Extract pulls the values at want's points (want's canonical order) out
+// of a payload recorded in from's canonical enumeration order; want must
+// be a subset of from.  It is the read-side inverse of Place.
+func Extract(payload []byte, from, want index.Grid) []byte {
+	out := make([]byte, 8*want.Count())
+	walkSpans(want, from, func(pos, off, n int) {
+		copy(out[8*off:8*(off+n)], payload[8*pos:8*(pos+n)])
+	})
+	return out
+}
+
+// walkSpans enumerates g (a subset of into) in canonical order as blocks
+// of consecutive canonical positions of into: f(pos, off, n) says that
+// the n values at g's enumeration offsets off.. sit at into's positions
+// pos..  Canonical order is column-major over into's per-dimension
+// counts, dimension 0 innermost (the order of ForEachRun).  A run of g
+// lying inside one run of into with the same stride is one block; any
+// other run falls back to one block per element.
+func walkSpans(g, into index.Grid, f func(pos, off, n int)) {
 	strd := make([]int, into.Rank())
 	mul := 1
 	for k := range strd {
@@ -80,21 +105,45 @@ func Place(dst []byte, payload []byte, g, into index.Grid) {
 		for k := 1; k < len(p); k++ {
 			row += into.Dims[k].IndexOf(p[k]) * strd[k]
 		}
+		n := r.Count()
+		if pos, ok := blockPos(into.Dims[0], r); ok {
+			f(row+pos, off, n)
+			off += n
+			return true
+		}
 		for i := r.Lo; i <= r.Hi; i += r.Stride {
-			idx := row + into.Dims[0].IndexOf(i)
-			copy(dst[8*idx:8*idx+8], payload[off:off+8])
-			off += 8
+			f(row+into.Dims[0].IndexOf(i), off, 1)
+			off++
 		}
 		return true
 	})
 }
 
-// XorInto folds src into dst byte-wise (dst must be at least as long as
-// src); the parity stripe is the XOR of all data stripes zero-padded to
-// the longest.
+// blockPos returns the position of r.Lo in rs's enumeration and whether
+// r's elements occupy consecutive positions there: r lies inside a
+// single run of rs that has r's stride (or r has one element).
+func blockPos(rs index.RunSet, r index.Run) (int, bool) {
+	pos := 0
+	for _, sr := range rs {
+		if k := sr.IndexOf(r.Lo); k >= 0 {
+			return pos + k, r.Lo == r.Hi || (sr.Stride == r.Stride && r.Hi <= sr.Hi)
+		}
+		pos += sr.Count()
+	}
+	return -1, false
+}
+
+// XorInto folds src into dst (dst must be at least as long as src), 8
+// bytes per step plus a byte tail; the parity stripe is the XOR of all
+// data stripes zero-padded to the longest.
 func XorInto(dst, src []byte) {
-	for i, b := range src {
-		dst[i] ^= b
+	dst = dst[:len(src)]
+	n := len(src) &^ 7
+	for i := 0; i < n; i += 8 {
+		binary.LittleEndian.PutUint64(dst[i:], binary.LittleEndian.Uint64(dst[i:])^binary.LittleEndian.Uint64(src[i:]))
+	}
+	for i := n; i < len(src); i++ {
+		dst[i] ^= src[i]
 	}
 }
 

@@ -1,6 +1,7 @@
 package pario
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -85,6 +86,138 @@ func TestPlaceCanonical(t *testing.T) {
 			if got != val(i, j) {
 				t.Fatalf("dst[%d,%d] = %d, want %d", i, j, got, val(i, j))
 			}
+		}
+	}
+}
+
+// refPlace and refExtract are the element-by-element reference walks:
+// every point's canonical position within into is looked up on its own.
+func refPlace(dst, payload []byte, g, into index.Grid) {
+	off := 0
+	g.ForEach(func(p index.Point) bool {
+		idx := canonicalPos(into, p)
+		copy(dst[8*idx:8*idx+8], payload[off:off+8])
+		off += 8
+		return true
+	})
+}
+
+func refExtract(payload []byte, from, want index.Grid) []byte {
+	var out []byte
+	want.ForEach(func(p index.Point) bool {
+		idx := canonicalPos(from, p)
+		out = append(out, payload[8*idx:8*idx+8]...)
+		return true
+	})
+	return out
+}
+
+// canonicalPos is p's position in g's column-major enumeration
+// (dimension 0 fastest).
+func canonicalPos(g index.Grid, p index.Point) int {
+	pos, mul := 0, 1
+	for k, d := range g.Dims {
+		pos += d.IndexOf(p[k]) * mul
+		mul *= d.Count()
+	}
+	return pos
+}
+
+// patternBytes returns n distinct-looking bytes.
+func patternBytes(n int, seed byte) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i*131) ^ seed
+	}
+	return b
+}
+
+// spanCases pairs each sub-grid g with an enclosing grid into.  They mix
+// runs that move as one block with runs that force the per-element
+// fallback: stride > 1 runs inside a stride-1 run, CYCLIC multi-run sets,
+// strided enclosing runs, multi-run enclosing sets, 1-D to 3-D grids,
+// uneven stripes, and empty stripes (more stripes than extent).
+func spanCases() []struct {
+	name    string
+	g, into index.Grid
+} {
+	type tc = struct {
+		name    string
+		g, into index.Grid
+	}
+	rs := index.NewRunSet
+	run := index.NewRun
+	grid := func(dims ...index.RunSet) index.Grid { return index.Grid{Dims: dims} }
+	cases := []tc{
+		{"into-strided-same-stride", grid(rs(run(4, 20, 2))), grid(rs(run(0, 40, 2)))},
+		{"into-strided-coarser", grid(rs(run(4, 20, 4))), grid(rs(run(0, 40, 2)))},
+		{"into-multi-run", grid(rs(run(5, 9, 1), run(20, 24, 1))), grid(rs(run(0, 9, 1), run(20, 29, 1)))},
+		{"g-straddles-into-runs", grid(rs(run(8, 9, 1), run(20, 22, 1))), grid(rs(run(0, 9, 1), run(20, 29, 1)))},
+		{"single-points", grid(rs(run(3, 3, 1), run(7, 7, 1))), grid(rs(run(0, 9, 1)))},
+	}
+	// Owner-like grids cut by stripes, as the save path builds them.
+	owners := map[string]func(lo, hi int) index.RunSet{
+		"block":   func(lo, hi int) index.RunSet { return rs(run(lo+(hi-lo)/3, hi, 1)) },
+		"cyclic1": func(lo, hi int) index.RunSet { return rs(run(lo+1, hi, 3)) },
+		"cyclic2": func(lo, hi int) index.RunSet { return rs(run(lo, hi, 4), run(lo+1, hi, 4)) },
+		"whole":   func(lo, hi int) index.RunSet { return rs(run(lo, hi, 1)) },
+	}
+	for _, dom := range []index.Domain{index.Dim(29), index.Dim(7, 10), index.Dim(6, 4, 5)} {
+		last := dom.Extent(dom.Rank() - 1)
+		for _, ns := range []int{1, 3, last + 2} {
+			for oname, own := range owners {
+				owner := index.Grid{Dims: make([]index.RunSet, dom.Rank())}
+				for k := range owner.Dims {
+					owner.Dims[k] = own(dom.Lo[k], dom.Hi[k])
+				}
+				for s, sg := range StripeGrids(dom, ns) {
+					name := fmt.Sprintf("%dd-ns%d-%s-stripe%d", dom.Rank(), ns, oname, s)
+					cases = append(cases, tc{name, owner.Intersect(sg), sg})
+				}
+			}
+		}
+	}
+	return cases
+}
+
+// TestPlaceExtractMatchReference holds the run-granular Place and
+// Extract byte-identical to the element-by-element walks on every span
+// case, and Extract to the inverse of Place.
+func TestPlaceExtractMatchReference(t *testing.T) {
+	for _, tc := range spanCases() {
+		n := tc.g.Count()
+		payload := patternBytes(8*n, 0x5a)
+		got := patternBytes(8*tc.into.Count(), 0xa5)
+		want := patternBytes(8*tc.into.Count(), 0xa5)
+		Place(got, payload, tc.g, tc.into)
+		refPlace(want, payload, tc.g, tc.into)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: Place differs from the per-element reference", tc.name)
+		}
+		ext := Extract(got, tc.into, tc.g)
+		if !bytes.Equal(ext, refExtract(got, tc.into, tc.g)) {
+			t.Fatalf("%s: Extract differs from the per-element reference", tc.name)
+		}
+		if !bytes.Equal(ext, payload) {
+			t.Fatalf("%s: Extract does not invert Place", tc.name)
+		}
+	}
+}
+
+// TestXorIntoMatchesBytewise checks the word-at-a-time XOR against a
+// byte loop on lengths around and between multiples of 8, with dst
+// longer than src (the zero-padded parity case).
+func TestXorIntoMatchesBytewise(t *testing.T) {
+	for n := 0; n <= 33; n++ {
+		src := patternBytes(n, 0x3c)
+		got := patternBytes(n+5, 0xc3)
+		want := patternBytes(n+5, 0xc3)
+		XorInto(got, src)
+		for i, b := range src {
+			want[i] ^= b
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("len %d: XorInto differs from the bytewise XOR", n)
 		}
 	}
 }
