@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check check-fault check-recovery check-online check-redist check-expand check-io check-drain soak bench bench-smoke bench-overlap bench-redist bench-expand bench-io bench-drain examples experiments analyze clean
+.PHONY: all build vet test race check check-kernels check-fault check-recovery check-online check-redist check-expand check-io check-drain soak bench bench-smoke bench-overlap bench-redist bench-expand bench-io bench-drain examples experiments analyze clean
 
 all: build check test
 
@@ -21,9 +21,22 @@ race:
 # Static checks plus the race detector over the runtime packages — the
 # SPMD engine is all goroutines, so data races are the bug class to gate
 # on.  Part of the default target.
-check: check-fault check-recovery check-online check-redist check-expand check-io check-drain bench-overlap bench-redist
+check: check-kernels check-fault check-recovery check-online check-redist check-expand check-io check-drain bench-overlap bench-redist
 	$(GO) vet ./...
 	$(GO) test -race ./internal/...
+
+# Floating-point contraction guard: the batched tridiagonal sweeps must
+# stay bit-identical to the per-line kernels, and the ADI apps to the
+# serial reference, when the compiler may fuse multiply-adds into FMA
+# instructions (GOAMD64=v3 allows them).  A v3 binary runs only on a CPU
+# with fma and avx2, so the target checks /proc/cpuinfo first and
+# otherwise says it skipped.
+check-kernels:
+	@if grep -qw fma /proc/cpuinfo 2>/dev/null && grep -qw avx2 /proc/cpuinfo; then \
+	  set -x; GOAMD64=v3 $(GO) test -count=1 -run 'BitIdentical|^TestADI.*MatchesSerial' ./internal/kernels ./internal/apps; \
+	else \
+	  echo "check-kernels: skipped (no fma/avx2 in /proc/cpuinfo)"; \
+	fi
 
 # The memory-bounded redistribution matrix: planner candidates simulated
 # bit-identical to the direct alltoallv across distribution crossings,
@@ -102,14 +115,16 @@ check-fault:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# Quick allocation/latency regression sweep over the data-movement hot
-# paths: E3 (smoothing ghost exchange), E4 (DISTRIBUTE), and the wire
-# codec micros.  Results land in BENCH_SMOKE.json — the committed
+# Quick allocation/latency regression sweep over the hot paths: E3
+# (smoothing ghost exchange), E4 (DISTRIBUTE), the wire codec micros, and
+# the ADI tridiagonal kernel (per-line vs batched at the benchmark's local
+# block shapes).  Results land in BENCH_SMOKE.json — the committed
 # BENCH_PR2.json is the frozen PR-2 baseline to diff against, not a
 # file this target overwrites.
 bench-smoke:
 	( $(GO) test -run '^$$' -bench 'BenchmarkSmoothing|BenchmarkRedistribute' -benchtime 1x -benchmem . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkCodec' -benchtime 100x -benchmem ./internal/msg ) \
+	  $(GO) test -run '^$$' -bench 'BenchmarkCodec' -benchtime 100x -benchmem ./internal/msg ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkTridiagLines' -benchtime 100x -benchmem ./internal/kernels ) \
 	| $(GO) run ./cmd/benchjson -o BENCH_SMOKE.json
 
 # Sync-vs-overlap smoothing comparison: the same shapes timed with the

@@ -46,6 +46,10 @@ func main() {
 	e := vienna.NewEngine(m)
 	dom := vienna.Dim(*nx, *ny)
 
+	// TRIDIAG's constant-coefficient factorization, computed once for the
+	// longest line and shared by every processor and both sweeps
+	fac := kernels.NewFactor(max(*nx, *ny), -1, 4, -1)
+
 	colDist := vienna.DistSpec{Type: vienna.NewType(vienna.Elided(), vienna.Block())}
 
 	err := m.Run(func(ctx *vienna.Ctx) error {
@@ -90,7 +94,7 @@ func main() {
 
 			// x-line sweep: every column V(:,J) is local under (:,BLOCK)
 			vienna.PhaseBegin(ctx, "x-sweep")
-			sweepLocal(ctx, v, 0)
+			sweepLocal(ctx, v, 0, fac)
 			ctx.Barrier()
 			vienna.PhaseEnd(ctx, "x-sweep")
 
@@ -99,7 +103,7 @@ func main() {
 
 			// y-line sweep: every row V(I,:) is local under (BLOCK,:)
 			vienna.PhaseBegin(ctx, "y-sweep")
-			sweepLocal(ctx, v, 1)
+			sweepLocal(ctx, v, 1, fac)
 			ctx.Barrier()
 			vienna.PhaseEnd(ctx, "y-sweep")
 		}
@@ -175,17 +179,11 @@ func resid(ctx *vienna.Ctx, v, u, f *vienna.Array, h *vienna.GhostHandle) error 
 	return nil
 }
 
-// sweepLocal runs TRIDIAG along dimension dim on every locally held line.
-func sweepLocal(ctx *vienna.Ctx, v *vienna.Array, dim int) {
+// sweepLocal runs TRIDIAG along dimension dim on every locally held line,
+// all lines in one batched call sharing the factorization fac.
+func sweepLocal(ctx *vienna.Ctx, v *vienna.Array, dim int, fac *kernels.Factor) {
 	l := v.Local(ctx)
-	alloc := l.AllocShape()
-	strd := l.Stride()
+	alloc, strd := l.AllocShape(), l.Stride()
 	other := 1 - dim
-	if alloc[dim] == 0 || alloc[other] == 0 {
-		return
-	}
-	scratch := make([]float64, alloc[dim])
-	for li := 0; li < alloc[other]; li++ {
-		kernels.TridiagStrided(l.Data(), li*strd[other], strd[dim], alloc[dim], -1, 4, -1, scratch)
-	}
+	kernels.TridiagLines(l.Data(), 0, strd[dim], alloc[dim], strd[other], alloc[other], fac)
 }

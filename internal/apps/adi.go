@@ -13,6 +13,7 @@ package apps
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/core"
@@ -272,6 +273,9 @@ func RunADI(cfg ADIConfig) (ADIResult, error) {
 		kernels.SerialADI(ref, cfg.NX, cfg.NY, cfg.Iters, adiA, adiB, adiC)
 	}
 
+	// The whole-line factorization is shared read-only by every rank and
+	// both local sweeps (a line of n elements uses its first n entries).
+	fac := kernels.NewFactor(max(cfg.NX, cfg.NY), adiA, adiB, adiC)
 	var sweepMsgs, redistMsgs, redistBytes int64
 	var finalErr, checksum float64
 	var hits, misses int
@@ -286,6 +290,7 @@ func RunADI(cfg ADIConfig) (ADIResult, error) {
 		// redistributions; mitigated makes the policy one-shot per run.
 		var rowBounds, colBounds []int
 		mitigated := false
+		var seg kernels.Factor // this rank's pipelined-sweep segment factorization
 		body := func(eng *core.Engine, online bool) error {
 			if colBounds != nil && len(colBounds) != ctx.NP() {
 				// A membership transition changed the view size since the
@@ -392,7 +397,7 @@ func RunADI(cfg ADIConfig) (ADIResult, error) {
 					// Compute sections run under timed: injected slowdown is
 					// applied and the busy time reported to the health scorer
 					// (barrier/communication waits deliberately excluded).
-					el0 := cfg.Straggler.timed(ctx, func() { localSweep(ctx, v, 0, cfg.FlopTime) })
+					el0 := cfg.Straggler.timed(ctx, func() { localSweep(ctx, v, 0, fac, cfg.FlopTime) })
 					units := localElems(ctx, v)
 					if err = ctx.Barrier(); err != nil {
 						return err
@@ -403,7 +408,7 @@ func RunADI(cfg ADIConfig) (ADIResult, error) {
 					if err != nil {
 						return err
 					}
-					el1 := cfg.Straggler.timed(ctx, func() { localSweep(ctx, v, 1, cfg.FlopTime) })
+					el1 := cfg.Straggler.timed(ctx, func() { localSweep(ctx, v, 1, fac, cfg.FlopTime) })
 					units += localElems(ctx, v)
 					if err = ctx.Barrier(); err != nil {
 						return err
@@ -412,23 +417,23 @@ func RunADI(cfg ADIConfig) (ADIResult, error) {
 						ctx.ReportWork(units, el0+el1)
 					}
 				case ADIStaticCols:
-					el := cfg.Straggler.timed(ctx, func() { localSweep(ctx, v, 0, cfg.FlopTime) })
+					el := cfg.Straggler.timed(ctx, func() { localSweep(ctx, v, 0, fac, cfg.FlopTime) })
 					if cfg.Straggler.Enabled() {
 						ctx.ReportWork(localElems(ctx, v), el)
 					}
 					if err = ctx.Barrier(); err != nil {
 						return err
 					}
-					err = account(func() error { return pipelinedSweep(ctx, v, 1, cfg.ChunkRows, cfg.FlopTime) }, &sweepMsgs, nil)
+					err = account(func() error { return pipelinedSweep(ctx, v, 1, cfg.ChunkRows, &seg, cfg.FlopTime) }, &sweepMsgs, nil)
 					if err != nil {
 						return err
 					}
 				case ADIStaticRows:
-					err = account(func() error { return pipelinedSweep(ctx, v, 0, cfg.ChunkRows, cfg.FlopTime) }, &sweepMsgs, nil)
+					err = account(func() error { return pipelinedSweep(ctx, v, 0, cfg.ChunkRows, &seg, cfg.FlopTime) }, &sweepMsgs, nil)
 					if err != nil {
 						return err
 					}
-					el := cfg.Straggler.timed(ctx, func() { localSweep(ctx, v, 1, cfg.FlopTime) })
+					el := cfg.Straggler.timed(ctx, func() { localSweep(ctx, v, 1, fac, cfg.FlopTime) })
 					if cfg.Straggler.Enabled() {
 						ctx.ReportWork(localElems(ctx, v), el)
 					}
@@ -552,24 +557,16 @@ func RunADI(cfg ADIConfig) (ADIResult, error) {
 	return res, nil
 }
 
-// localSweep solves the tridiagonal systems along dimension dim; every
-// line must be fully local (dim elided in the current distribution).
-func localSweep(ctx *machine.Ctx, v *core.Array, dim int, flopTime float64) {
+// localSweep solves the tridiagonal systems along dimension dim in one
+// batched call; every line must be fully local (dim elided in the current
+// distribution).  fac is the run's whole-line factorization, of order at
+// least the line length.
+func localSweep(ctx *machine.Ctx, v *core.Array, dim int, fac *kernels.Factor, flopTime float64) {
 	l := v.Local(ctx)
-	alloc := l.AllocShape()
+	alloc, strd := l.AllocShape(), l.Stride()
 	other := 1 - dim
-	strd := l.Stride()
-	n := alloc[dim]
-	if n == 0 || alloc[other] == 0 {
-		return
-	}
-	scratch := make([]float64, n)
-	data := l.Data()
-	for li := 0; li < alloc[other]; li++ {
-		start := li * strd[other]
-		kernels.TridiagStrided(data, start, strd[dim], n, adiA, adiB, adiC, scratch)
-	}
-	ctx.Charge(flopTime * float64(5*n*alloc[other]))
+	kernels.TridiagLines(l.Data(), 0, strd[dim], alloc[dim], strd[other], alloc[other], fac)
+	ctx.Charge(flopTime * float64(5*alloc[dim]*alloc[other]))
 }
 
 // pipelinedSweep solves the tridiagonal systems along a BLOCK-distributed
@@ -577,9 +574,12 @@ func localSweep(ctx *machine.Ctx, v *core.Array, dim int, flopTime float64) {
 // forwards per-line pipeline state (b', d') to the next processor in
 // chunks, then back-substitutes in the reverse direction.  This is the
 // communication pattern a compiler must generate for the static ADI
-// (paper §4).  Transport failures are returned as wrapped errors (under
+// (paper §4).  Every line's segment starts at the same global row, so all
+// lines share one upstream b' and one segment factorization: seg caches
+// it across chunks and iterations, and each chunk runs as one batched
+// kernel call.  Transport failures are returned as wrapped errors (under
 // the machine's CommConfig the pipeline receives run with deadlines).
-func pipelinedSweep(ctx *machine.Ctx, v *core.Array, dim int, chunk int, flopTime float64) error {
+func pipelinedSweep(ctx *machine.Ctx, v *core.Array, dim int, chunk int, seg *kernels.Factor, flopTime float64) error {
 	l := v.Local(ctx)
 	rank, np := ctx.Rank(), ctx.NP()
 	alloc := l.AllocShape()
@@ -596,68 +596,72 @@ func pipelinedSweep(ctx *machine.Ctx, v *core.Array, dim int, chunk int, flopTim
 	tr := ctx.Tracer()
 	const fwdTag, bwdTag = 9001, 9002
 
-	// per-line modified diagonals, needed again by the backward pass
-	bps := make([][]float64, lines)
-	for i := range bps {
-		bps[i] = make([]float64, segN)
-	}
-
 	prev, next := rank-1, rank+1
+	fin, fout := make([]kernels.SweepState, chunk), make([]kernels.SweepState, chunk)
+	bin, bout := make([]kernels.BackState, chunk), make([]kernels.BackState, chunk)
 
 	// forward elimination, pipelined in chunks of lines
+	var up kernels.SweepState // the upstream state seg was factored for
 	for c0 := 0; c0 < lines; c0 += chunk {
-		c1 := c0 + chunk
-		if c1 > lines {
-			c1 = lines
-		}
-		in := make([]kernels.SweepState, c1-c0)
+		k := min(chunk, lines-c0)
+		in, out := fin[:k], fout[:k]
 		if prev >= 0 {
 			p, err := msg.RecvRetry(ep, cfg, tr, "pipelined-sweep", prev, fwdTag)
 			if err != nil {
 				return fmt.Errorf("apps: ADI forward sweep at rank %d: %w", rank, err)
 			}
 			vals := msg.DecodeFloat64s(p.Data)
-			for k := range in {
-				in[k] = kernels.SweepState{BP: vals[2*k], D: vals[2*k+1], Valid: true}
+			if len(vals) != 2*k {
+				return fmt.Errorf("apps: ADI forward sweep at rank %d: %d values for %d lines", rank, len(vals), k)
+			}
+			if c0 == 0 {
+				up = kernels.SweepState{BP: vals[0], Valid: true}
+			}
+			for j := range in {
+				if math.Float64bits(vals[2*j]) != math.Float64bits(up.BP) {
+					return fmt.Errorf("apps: ADI forward sweep at rank %d: line %d arrives with b' %v, not the shared %v", rank, c0+j, vals[2*j], up.BP)
+				}
+				in[j] = kernels.SweepState{BP: vals[2*j], D: vals[2*j+1], Valid: true}
 			}
 		}
-		out := make([]float64, 0, 2*(c1-c0))
-		for li := c0; li < c1; li++ {
-			st := kernels.ForwardSegment(data, li*strd[other], strd[dim], segN, adiA, adiB, adiC, in[li-c0], bps[li])
-			out = append(out, st.BP, st.D)
-		}
-		ctx.Charge(flopTime * float64(5*segN*(c1-c0)))
+		seg.Reset(segN, adiA, adiB, adiC, up)
+		kernels.ForwardSegmentLines(data, c0*strd[other], strd[dim], segN, strd[other], k, seg, in, out)
+		ctx.Charge(flopTime * float64(5*segN*k))
 		if next < np {
-			if err := msg.SendRetry(ep, cfg, tr, "pipelined-sweep", next, fwdTag, msg.EncodeFloat64s(out)); err != nil {
+			vals := make([]float64, 0, 2*k)
+			for _, st := range out {
+				vals = append(vals, st.BP, st.D)
+			}
+			if err := msg.SendRetry(ep, cfg, tr, "pipelined-sweep", next, fwdTag, msg.EncodeFloat64s(vals)); err != nil {
 				return fmt.Errorf("apps: ADI forward sweep at rank %d: %w", rank, err)
 			}
 		}
 	}
 	// back substitution, pipelined in the reverse direction
 	for c0 := 0; c0 < lines; c0 += chunk {
-		c1 := c0 + chunk
-		if c1 > lines {
-			c1 = lines
-		}
-		in := make([]kernels.BackState, c1-c0)
+		k := min(chunk, lines-c0)
+		in, out := bin[:k], bout[:k]
 		if next < np {
 			p, err := msg.RecvRetry(ep, cfg, tr, "pipelined-sweep", next, bwdTag)
 			if err != nil {
 				return fmt.Errorf("apps: ADI backward sweep at rank %d: %w", rank, err)
 			}
 			vals := msg.DecodeFloat64s(p.Data)
-			for k := range in {
-				in[k] = kernels.BackState{X: vals[k], Valid: true}
+			if len(vals) != k {
+				return fmt.Errorf("apps: ADI backward sweep at rank %d: %d values for %d lines", rank, len(vals), k)
+			}
+			for j := range in {
+				in[j] = kernels.BackState{X: vals[j], Valid: true}
 			}
 		}
-		out := make([]float64, 0, c1-c0)
-		for li := c0; li < c1; li++ {
-			st := kernels.BackwardSegment(data, li*strd[other], strd[dim], segN, adiC, in[li-c0], bps[li])
-			out = append(out, st.X)
-		}
-		ctx.Charge(flopTime * float64(3*segN*(c1-c0)))
+		kernels.BackwardSegmentLines(data, c0*strd[other], strd[dim], segN, strd[other], k, seg, in, out)
+		ctx.Charge(flopTime * float64(3*segN*k))
 		if prev >= 0 {
-			if err := msg.SendRetry(ep, cfg, tr, "pipelined-sweep", prev, bwdTag, msg.EncodeFloat64s(out)); err != nil {
+			vals := make([]float64, k)
+			for j, st := range out {
+				vals[j] = st.X
+			}
+			if err := msg.SendRetry(ep, cfg, tr, "pipelined-sweep", prev, bwdTag, msg.EncodeFloat64s(vals)); err != nil {
 				return fmt.Errorf("apps: ADI backward sweep at rank %d: %w", rank, err)
 			}
 		}

@@ -1,9 +1,16 @@
 package apps
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/index"
+	"repro/internal/kernels"
+	"repro/internal/machine"
+	"repro/internal/msg"
 )
 
 func TestADIDynamicMatchesSerial(t *testing.T) {
@@ -341,5 +348,60 @@ func TestAppsOverTCP(t *testing.T) {
 	}
 	if pic.ParticlesStart != pic.ParticlesEnd {
 		t.Fatal("TCP PIC lost particles")
+	}
+}
+
+// TestADIBenchmarkSizeMatchesSerial runs the benchmark workload's shape
+// (512², P=4, 40 iterations) in every mode: the batched local and
+// pipelined sweeps must reproduce the per-line serial reference exactly.
+func TestADIBenchmarkSizeMatchesSerial(t *testing.T) {
+	if testing.Short() {
+		t.Skip("512² ADI at the benchmark size")
+	}
+	for _, mode := range []ADIMode{ADIDynamic, ADIStaticCols, ADIStaticRows} {
+		res, err := RunADI(ADIConfig{NX: 512, NY: 512, Iters: 40, P: 4, Mode: mode, Validate: true})
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if res.MaxErr != 0 {
+			t.Fatalf("%v: max|err| vs serial = %g, want exactly 0", mode, res.MaxErr)
+		}
+	}
+}
+
+// TestPipelinedSweepRejectsBadUpstream: the batched forward sweep shares
+// one segment factorization across a chunk's lines, so a forward message
+// of the wrong length, or whose lines disagree on the upstream b', is an
+// error rather than a silently wrong solve.
+func TestPipelinedSweepRejectsBadUpstream(t *testing.T) {
+	for name, tc := range map[string]struct {
+		vals []float64
+		want string
+	}{
+		"short":    {[]float64{3.75, 1, 3.75}, "3 values for 4 lines"},
+		"long":     {make([]float64, 10), "10 values for 4 lines"},
+		"mixed b'": {[]float64{3.75, 1, 3.75, 2, 3.5, 3, 3.75, 4}, "line 2 arrives with b' 3.5"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			m := machine.New(2)
+			defer m.Close()
+			e := core.NewEngine(m)
+			err := m.Run(func(ctx *machine.Ctx) error {
+				rows := core.DistSpec{Type: rowsType()}
+				v := e.MustDeclare(ctx, core.Decl{Name: "V", Domain: index.Dim(8, 8), Static: &rows})
+				if ctx.Rank() == 0 {
+					// stand in for the upstream rank: one forward chunk of 4 lines
+					return ctx.Endpoint().Send(1, 9001, msg.EncodeFloat64s(tc.vals))
+				}
+				var seg kernels.Factor
+				if err := pipelinedSweep(ctx, v, 0, 4, &seg, 0); err == nil || !strings.Contains(err.Error(), tc.want) {
+					return fmt.Errorf("forward chunk %v: err = %v, want %q", tc.vals, err, tc.want)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -181,26 +181,22 @@ func (m *matcher) get(from, tag int) (Packet, error) {
 	}
 }
 
+// getTimeout is get with a deadline.  RecvTimeout sits on hot paths —
+// every collective receive under a CommConfig timeout and every heartbeat,
+// regroup and join loop — so a wait costs one runtime timer armed at the
+// deadline, created only when the receive has to block, and no goroutine.
+// The timer's callback broadcasts under m.mu: a waiter holds m.mu from its
+// deadline check until cond.Wait releases it, so the broadcast either
+// finds it waiting or comes before the check, which then sees the
+// deadline passed — no wakeup is lost.
 func (m *matcher) getTimeout(from, tag int, d time.Duration) (Packet, error) {
 	deadline := time.Now().Add(d)
-	// A ticker goroutine broadcasts periodically so the cond.Wait below
-	// always re-checks the deadline, even if the fire races with a
-	// consumer about to block.  RecvTimeout is a debugging/test facility;
-	// the polling overhead is irrelevant on the fast paths.
-	stop := make(chan struct{})
-	go func() {
-		tick := time.NewTicker(time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				m.cond.Broadcast()
-			}
+	var timer *time.Timer
+	defer func() {
+		if timer != nil {
+			timer.Stop()
 		}
 	}()
-	defer close(stop)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
@@ -213,8 +209,16 @@ func (m *matcher) getTimeout(from, tag int, d time.Duration) (Packet, error) {
 		if m.closed {
 			return Packet{}, ErrClosed
 		}
-		if time.Now().After(deadline) {
+		left := time.Until(deadline)
+		if left <= 0 {
 			return Packet{}, fmt.Errorf("%w (from=%d tag=%d)", ErrTimeout, from, tag)
+		}
+		if timer == nil {
+			timer = time.AfterFunc(left, func() {
+				m.mu.Lock()
+				defer m.mu.Unlock()
+				m.cond.Broadcast()
+			})
 		}
 		m.cond.Wait()
 	}

@@ -2,6 +2,7 @@ package msg
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -146,6 +147,96 @@ func TestRecvTimeout(t *testing.T) {
 				t.Fatalf("expected delivery, got %v", err)
 			}
 		})
+	}
+}
+
+// TestRecvTimeoutDelivers: a message that arrives while a timed receive
+// is blocked is returned to it, long before the deadline.
+func TestRecvTimeoutDelivers(t *testing.T) {
+	m := newMatcher()
+	go func() {
+		time.Sleep(20 * time.Millisecond) // most likely after the receiver blocks; either order must deliver
+		m.put(Packet{From: 1, Tag: 5, Data: []byte{42}})
+	}()
+	p, err := m.getTimeout(1, 5, time.Minute)
+	if err != nil || p.From != 1 || p.Tag != 5 || len(p.Data) != 1 || p.Data[0] != 42 {
+		t.Fatalf("got %+v, %v; want the tag-5 packet", p, err)
+	}
+}
+
+// TestRecvTimeoutAtDeadline: with no matching message the receive returns
+// ErrTimeout at the deadline — not before it, and woken by the deadline
+// alone, with a non-matching message left queued.
+func TestRecvTimeoutAtDeadline(t *testing.T) {
+	m := newMatcher()
+	m.put(Packet{From: 1, Tag: 6})
+	for _, d := range []time.Duration{0, 40 * time.Millisecond} {
+		start := time.Now()
+		_, err := m.getTimeout(1, 5, d)
+		el := time.Since(start)
+		if !errors.Is(err, ErrTimeout) {
+			t.Fatalf("d=%v: err = %v, want ErrTimeout", d, err)
+		}
+		if el < d || el > d+2*time.Second {
+			t.Fatalf("d=%v: timed out after %v", d, el)
+		}
+	}
+	if p, err := m.getTimeout(1, 6, 0); err != nil || p.Tag != 6 {
+		t.Fatalf("queued packet: %+v, %v", p, err)
+	}
+}
+
+// TestRecvTimeoutCloseWakes: closing the transport wakes a timed waiter
+// with ErrClosed instead of leaving it to its deadline.
+func TestRecvTimeoutCloseWakes(t *testing.T) {
+	m := newMatcher()
+	done := make(chan error, 1)
+	go func() {
+		_, err := m.getTimeout(1, 5, time.Hour)
+		done <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // most likely after the receiver blocks; either order must wake it
+	m.close()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("err = %v, want ErrClosed", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("close did not wake the timed waiter")
+	}
+}
+
+// TestRecvTimeoutNoGoroutines: 1000 timed receives — served from the
+// queue, served after blocking, and timed out — leave the goroutine count
+// at its baseline once the senders and fired timers are done.
+func TestRecvTimeoutNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	m := newMatcher()
+	for i := 0; i < 1000; i++ {
+		var err error
+		switch i % 3 {
+		case 0:
+			m.put(Packet{From: 1, Tag: i})
+			_, err = m.getTimeout(1, i, time.Minute)
+		case 1:
+			go m.put(Packet{From: 1, Tag: i})
+			_, err = m.getTimeout(1, i, time.Minute)
+		case 2:
+			if _, err = m.getTimeout(1, i, 50*time.Microsecond); errors.Is(err, ErrTimeout) {
+				err = nil
+			}
+		}
+		if err != nil {
+			t.Fatalf("receive %d: %v", i, err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after 1000 timed receives, baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
